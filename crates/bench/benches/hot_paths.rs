@@ -62,6 +62,8 @@ fn filled_slicebuf(bit_of: impl Fn(usize) -> u8) -> SliceBuffer {
             src2_value: None,
             src1_producer: usize::MAX,
             src2_producer: usize::MAX,
+            src1_producer_slot: u32::MAX,
+            src2_producer_slot: u32::MAX,
             store_color: 0,
             poison: PoisonMask::bit(bit_of(k)),
             active: true,

@@ -624,7 +624,7 @@ fn run_sweep_plan(args: &Args) {
 }
 
 /// `--ckpt-smoke`: for every (model × standard workload) pair, run the front
-/// half, checkpoint through the full `icfp-ckpt/v1` byte encoding, resume,
+/// half, checkpoint through the full `icfp-ckpt/v3` byte encoding, resume,
 /// and require cycles and state digest to match an uninterrupted run.  With
 /// `--fast-forward N` both runs skip the first N instructions functionally
 /// first, so the round-trip covers checkpoints minted after a warmup skip.

@@ -63,15 +63,17 @@ impl Engine {
     }
 
     /// Latest readiness cycle over the instruction's source registers.
+    #[inline]
     pub fn src_ready(&self, inst: &DynInst) -> Cycle {
-        inst.sources().map(|r| self.rf.ready_at(r)).max().unwrap_or(0)
+        let ready = |r: Option<Reg>| r.map_or(0, |r| self.rf.ready_at(r));
+        ready(inst.src1).max(ready(inst.src2))
     }
 
     /// Union of the poison masks of the instruction's source registers.
+    #[inline]
     pub fn src_poison(&self, inst: &DynInst) -> PoisonMask {
-        inst.sources()
-            .map(|r| self.rf.poison(r))
-            .fold(PoisonMask::CLEAN, PoisonMask::union)
+        let poison = |r: Option<Reg>| r.map_or(PoisonMask::CLEAN, |r| self.rf.poison(r));
+        poison(inst.src1).union(poison(inst.src2))
     }
 
     /// Current architectural values of the instruction's two source operands.

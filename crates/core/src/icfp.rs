@@ -117,9 +117,9 @@ pub struct IcfpMachine {
     rallies: Vec<PendingRally>,
     /// Results of re-executed slice instructions (the slice data storage).
     slice_values: SliceValues,
-    /// Scratch: `(physical slot, entry)` pairs selected for the current rally
-    /// pass (capacity reused); the slot gives O(1) retire/re-poison.
-    rally_scratch: Vec<(u32, SliceEntry)>,
+    /// Scratch: physical slots of the entries selected for the current rally
+    /// pass (capacity reused); the slot gives O(1) read/retire/re-poison.
+    rally_scratch: Vec<u32>,
     /// Scratch: stores drained from the store buffer this step.
     drain_scratch: Vec<(u64, Value)>,
     /// Next trace index to process.
@@ -155,7 +155,7 @@ impl IcfpMachine {
     /// memory as of trace position `warm.instructions`, timing state cold,
     /// the first pass resuming there.  Checkpoints taken afterwards carry
     /// the seed (the machine serializes whole), so FF runs mint ordinary
-    /// `icfp-ckpt/v2` checkpoints.
+    /// `icfp-ckpt/v3` checkpoints.
     ///
     /// # Errors
     ///
@@ -397,6 +397,8 @@ impl IcfpMachine {
             src2_value: capture(inst.src2),
             src1_producer,
             src2_producer,
+            src1_producer_slot: self.slice.slot_of(src1_producer),
+            src2_producer_slot: self.slice.slot_of(src2_producer),
             store_color: self.sbuf.ssn_tail(),
             poison,
             active: true,
@@ -620,10 +622,14 @@ impl IcfpMachine {
 
     /// Stalls the pipeline until the misses in `poison` have returned and
     /// rallied (simple-runahead fallback for un-chainable stores).
+    ///
+    /// # Panics
+    ///
+    /// Panics ("rally made no progress") if 64 rallies leave misses pending —
+    /// a model bug that would otherwise silently continue with a poisoned
+    /// store address.
     fn stall_for_poison(&mut self, trace: &TraceCursor<'_>, poison: PoisonMask) {
-        let mut guard = 0usize;
-        while guard < 64 {
-            guard += 1;
+        for _ in 0..64 {
             let Some(k) = self
                 .rallies
                 .iter()
@@ -633,7 +639,7 @@ impl IcfpMachine {
                 .map(|(k, _)| k)
                 .or_else(|| self.earliest_rally())
             else {
-                break;
+                return;
             };
             let ret = self.rallies[k].returns_at;
             self.eng.stats.resource_stall_cycles += ret.saturating_sub(self.eng.frontier);
@@ -641,9 +647,15 @@ impl IcfpMachine {
             let r = self.rallies.swap_remove(k);
             self.run_rally(trace, r);
             if self.rallies.is_empty() {
-                break;
+                return;
             }
         }
+        panic!(
+            "rally made no progress: a store-address stall ran 64 rallies at trace \
+             position {} and {} misses are still pending",
+            self.i,
+            self.rallies.len()
+        );
     }
 
     /// Runs every pending rally to completion (limited-forwarding stall path).
@@ -668,21 +680,27 @@ impl IcfpMachine {
     /// is quiescent (each pass resolves in program order, so producer chains
     /// always make progress; a load that misses again spawns a fresh rally
     /// and the episode continues normally).
+    ///
+    /// # Panics
+    ///
+    /// Panics ("rally made no progress") if a cleanup pass retires nothing
+    /// and spawns no rally, or if cleanup runs more than 4096 passes — the
+    /// episode could never end.
     fn run_rally(&mut self, trace: &TraceCursor<'_>, r: PendingRally) {
         self.palloc.release(r.mshr);
         self.rally_pass(trace, r.bit, r.returns_at);
-        let mut guard = 0u32;
+        let mut passes = 0u32;
         while self.rallies.is_empty() && !self.slice.no_active() {
             let before = self.slice.active_len();
             self.rally_pass(trace, PoisonMask::all_bits(), self.eng.frontier);
-            guard += 1;
-            debug_assert!(
-                self.slice.active_len() < before || !self.rallies.is_empty(),
-                "episode cleanup made no progress"
+            passes += 1;
+            let active = self.slice.active_len();
+            assert!(
+                passes <= 4096 && (active < before || !self.rallies.is_empty()),
+                "rally made no progress: episode cleanup pass {passes} at trace position {} \
+                 left {active} of {before} slice entries active with no miss pending",
+                self.i
             );
-            if guard > 4096 || (self.slice.active_len() >= before && self.rallies.is_empty()) {
-                break;
-            }
         }
         if self.rallies.is_empty() && self.slice.no_active() {
             // Episode over: speculative state retires.
@@ -716,8 +734,8 @@ impl IcfpMachine {
         let mut rally_frontier = start;
         let mut rally_end = start;
         for k in 0..self.rally_scratch.len() {
-            let (slot, e) = self.rally_scratch[k];
-            let slot = slot as usize;
+            let slot = self.rally_scratch[k] as usize;
+            let e = *self.slice.entry_at(slot);
             let inst = trace.get(e.trace_idx);
             let inst = &inst;
             let seq = e.trace_idx as InstSeq;
@@ -725,35 +743,33 @@ impl IcfpMachine {
 
             // Resolve operands: captured side inputs or slice data storage.
             let (p1, p2) = (e.src1_producer, e.src2_producer);
-            let mut vals = [0u64; 2];
             let mut ready = rally_frontier;
             let mut unresolved = PoisonMask::CLEAN;
-            for (n, (src, cap, prod)) in [
-                (inst.src1, e.src1_value, p1),
-                (inst.src2, e.src2_value, p2),
-            ]
-            .into_iter()
-            .enumerate()
-            {
+            let (slice, slice_values) = (&self.slice, &self.slice_values);
+            let mut operand = |src: Option<icfp_isa::Reg>, cap: Option<Value>, prod, prod_slot| {
                 if src.is_none() {
-                    continue;
+                    return 0;
                 }
                 if let Some(v) = cap {
-                    vals[n] = v;
-                } else if let Some((v, c)) = self.slice_values.get(prod) {
-                    vals[n] = v;
-                    ready = ready.max(c);
-                } else {
-                    // Producer has not rallied yet: it belongs to a different
-                    // pending miss.  Re-poison with the producer's bits.
-                    let pb = self
-                        .slice
-                        .entry_poison(prod)
-                        .unwrap_or(pending_bits)
-                        .without(select);
-                    unresolved |= if pb.is_clean() { pending_bits } else { pb };
+                    return v;
                 }
-            }
+                if let Some((v, c)) = slice_values.get(prod) {
+                    ready = ready.max(c);
+                    return v;
+                }
+                // Producer has not rallied yet: it belongs to a different
+                // pending miss.  Re-poison with the producer's bits.
+                let pb = slice
+                    .producer_poison(prod_slot, prod)
+                    .unwrap_or(pending_bits)
+                    .without(select);
+                unresolved |= if pb.is_clean() { pending_bits } else { pb };
+                0
+            };
+            let vals = [
+                operand(inst.src1, e.src1_value, p1, e.src1_producer_slot),
+                operand(inst.src2, e.src2_value, p2, e.src2_producer_slot),
+            ];
             if unresolved.is_poisoned() && !self.rallies.is_empty() {
                 // Entry waits for another miss (non-blocking rally).
                 let np = e.poison.without(select).union(unresolved);

@@ -13,11 +13,12 @@
 
 use crate::common::{seed_start, Engine};
 use crate::config::CoreConfig;
+use crate::fxmap::FxHashMap;
 use crate::storebuf::RunaheadCache;
 use crate::Core;
 use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
 use icfp_pipeline::{PoisonMask, RunResult};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The Runahead core.
 #[derive(Debug)]
@@ -72,8 +73,10 @@ pub(crate) fn runahead_like_run(
 
     let mut rcache = RunaheadCache::new(cfg.runahead_cache_entries);
     // Multipass result buffer: trace index -> saved value (None = instruction
-    // executed but produced no register result).
-    let mut results: HashMap<usize, Option<u64>> = HashMap::new();
+    // executed but produced no register result).  Probed on every
+    // re-executed instruction, so it uses the fast non-cryptographic hasher
+    // (keys are trace positions, not outside input).
+    let mut results: FxHashMap<usize, Option<u64>> = FxHashMap::default();
     let mut episode: Option<AdvanceEpisode> = None;
     // Set once any store has been processed in the current advance episode;
     // results are no longer saved after that because advance loads may then
@@ -81,19 +84,20 @@ pub(crate) fn runahead_like_run(
     // Multipass's result buffer).
     let mut poisoned_store_seen = false;
 
+    let len = trace.len();
     let mut i = start;
-    while i < trace.len() || episode.is_some() {
+    while i < len || episode.is_some() {
         // End the advance episode once execution time reaches the trigger's
         // return (or the trace ran out while advancing): restore and
         // re-execute from the checkpoint.
         if let Some(ep) = episode {
-            if eng.frontier >= ep.trigger_return || i >= trace.len() {
+            if eng.frontier >= ep.trigger_return || i >= len {
                 finish_episode(&mut eng, &mut rcache, ep, &mut i, &mut poisoned_store_seen);
                 episode = None;
                 continue;
             }
         }
-        if i >= trace.len() {
+        if i >= len {
             break;
         }
 

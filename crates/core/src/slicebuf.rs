@@ -38,6 +38,13 @@ pub struct SliceEntry {
     pub src1_producer: usize,
     /// Producer of the second source operand (`usize::MAX` = captured/absent).
     pub src2_producer: usize,
+    /// Physical slot [`SliceBuffer::slot_of`] found `src1_producer` in when
+    /// this entry was pushed (`u32::MAX` = none).  Entries never move, so a
+    /// rally checks the producer in O(1) with
+    /// [`SliceBuffer::producer_poison`] instead of searching for it.
+    pub src1_producer_slot: u32,
+    /// Slot of `src2_producer` at push time (`u32::MAX` = none).
+    pub src2_producer_slot: u32,
     /// Store colour: SSN of the youngest older store at slice time, used by
     /// rallying loads to ignore younger stores when forwarding.
     pub store_color: u64,
@@ -58,6 +65,8 @@ impl SliceEntry {
             src2_value: None,
             src1_producer: usize::MAX,
             src2_producer: usize::MAX,
+            src1_producer_slot: u32::MAX,
+            src2_producer_slot: u32::MAX,
             store_color: 0,
             poison: PoisonMask::CLEAN,
             active: false,
@@ -240,16 +249,24 @@ impl SliceBuffer {
         self.scan_ring(returning, &mut |_, e| out.push(*e));
     }
 
-    /// Slot-carrying form of [`SliceBuffer::entries_for_rally_into`]: appends
-    /// `(physical_slot, entry)` pairs to `out` (cleared first).  The slot lets
-    /// the rally pass retire or re-poison the entry it is processing in O(1)
+    /// Slot form of [`SliceBuffer::entries_for_rally_into`]: appends the
+    /// physical slots of the selected entries to `out` (cleared first), in
+    /// program order.  The rally pass reads each entry with
+    /// [`SliceBuffer::entry_at`] and retires or re-poisons it in O(1)
     /// ([`SliceBuffer::retire_at`] / [`SliceBuffer::repoison_at`]) instead of
     /// re-finding it by trace index — valid as long as no push or head
     /// reclamation happens between selection and use (entries never move
     /// otherwise).
-    pub fn rally_select_into(&self, returning: PoisonMask, out: &mut Vec<(u32, SliceEntry)>) {
+    pub fn rally_select_into(&self, returning: PoisonMask, out: &mut Vec<u32>) {
         out.clear();
-        self.scan_ring(returning, &mut |slot, e| out.push((slot as u32, *e)));
+        self.scan_ring(returning, &mut |slot, _| out.push(slot as u32));
+    }
+
+    /// The entry in physical slot `slot` (from
+    /// [`SliceBuffer::rally_select_into`]).
+    #[inline]
+    pub fn entry_at(&self, slot: usize) -> &SliceEntry {
+        &self.slots[slot]
     }
 
     /// Scans the ring in program order for active entries whose poison
@@ -345,7 +362,28 @@ impl SliceBuffer {
         (lo < n && self.slots[self.phys(lo)].trace_idx == trace_idx).then_some(lo)
     }
 
+    /// Physical slot of the entry for `trace_idx` (`u32::MAX` if it is not in
+    /// the buffer) — what a new entry records as its producer's slot.
+    pub fn slot_of(&self, trace_idx: usize) -> u32 {
+        self.position_of(trace_idx)
+            .map_or(u32::MAX, |l| self.phys(l) as u32)
+    }
+
+    /// O(1) form of [`SliceBuffer::entry_poison`] for a producer whose slot
+    /// was recorded at push time ([`SliceBuffer::slot_of`]).  The slot may
+    /// since have been reclaimed and reused by a younger entry, so the trace
+    /// index is checked too.
+    #[inline]
+    pub fn producer_poison(&self, slot: u32, trace_idx: usize) -> Option<PoisonMask> {
+        self.slots
+            .get(slot as usize)
+            .filter(|e| e.trace_idx == trace_idx && e.active)
+            .map(|e| e.poison)
+    }
+
     /// The current poison mask of the *active* entry for `trace_idx`, if any.
+    /// Binary search; the reference [`SliceBuffer::producer_poison`] is
+    /// checked against.
     pub fn entry_poison(&self, trace_idx: usize) -> Option<PoisonMask> {
         self.position_of(trace_idx)
             .map(|l| &self.slots[self.phys(l)])
@@ -432,6 +470,8 @@ mod tests {
             src2_value: None,
             src1_producer: usize::MAX,
             src2_producer: usize::MAX,
+            src1_producer_slot: u32::MAX,
+            src2_producer_slot: u32::MAX,
             store_color: 0,
             poison,
             active: true,
@@ -573,9 +613,13 @@ mod tests {
         sb.push(entry(8, PoisonMask::bit(0))).unwrap();
         sb.push(entry(9, PoisonMask::bit(0))).unwrap(); // wraps
 
-        let mut with_slots = Vec::new();
-        sb.rally_select_into(PoisonMask::bit(0), &mut with_slots);
+        let mut slots = Vec::new();
+        sb.rally_select_into(PoisonMask::bit(0), &mut slots);
         let plain = sb.entries_for_rally(PoisonMask::bit(0));
+        let with_slots: Vec<(u32, SliceEntry)> = slots
+            .iter()
+            .map(|&slot| (slot, *sb.entry_at(slot as usize)))
+            .collect();
         let entries: Vec<SliceEntry> = with_slots.iter().map(|&(_, e)| e).collect();
         assert_eq!(entries, plain);
 
@@ -589,6 +633,110 @@ mod tests {
             assert_eq!(sb.entry_poison(e.trace_idx), None);
         }
         assert!(sb.entries_for_rally(PoisonMask::bit(0)).is_empty());
+    }
+
+    /// An entry whose first operand is produced by slice entry `prod`,
+    /// recording the producer's slot the way iCFP does at push time.
+    fn consumer(sb: &SliceBuffer, idx: usize, prod: usize, poison: PoisonMask) -> SliceEntry {
+        SliceEntry {
+            src1_value: None,
+            src1_producer: prod,
+            src1_producer_slot: sb.slot_of(prod),
+            ..entry(idx, poison)
+        }
+    }
+
+    #[test]
+    fn producer_slot_survives_reclaim_and_reuse_of_the_slot() {
+        let mut sb = SliceBuffer::new(4);
+        sb.push(entry(0, PoisonMask::bit(0))).unwrap();
+        let c = consumer(&sb, 1, 0, PoisonMask::bit(0));
+        assert_eq!(c.src1_producer_slot, 0);
+        sb.push(c).unwrap();
+        assert_eq!(sb.producer_poison(0, 0), Some(PoisonMask::bit(0)));
+        assert_eq!(sb.producer_poison(0, 0), sb.entry_poison(0));
+        // The producer rallies and retires while its consumer stays active.
+        assert!(sb.repoison(0, PoisonMask::bit(2)));
+        assert_eq!(sb.producer_poison(0, 0), Some(PoisonMask::bit(2)));
+        assert!(sb.retire(0));
+        assert_eq!(sb.producer_poison(0, 0), None);
+        sb.push(entry(2, PoisonMask::bit(1))).unwrap();
+        sb.push(entry(3, PoisonMask::bit(1))).unwrap();
+        // Full: this push reclaims the producer's slot and reuses it.
+        sb.push(entry(4, PoisonMask::bit(3))).unwrap();
+        assert_eq!(sb.slot_of(4), 0, "entry 4 took the producer's slot");
+        assert_eq!(
+            sb.entry_poison(1),
+            Some(PoisonMask::bit(0)),
+            "consumer still active"
+        );
+        assert_eq!(
+            sb.producer_poison(0, 0),
+            None,
+            "slot now holds a different entry"
+        );
+        assert_eq!(sb.producer_poison(0, 0), sb.entry_poison(0));
+        assert_eq!(sb.producer_poison(0, 4), sb.entry_poison(4));
+        assert_eq!(sb.slot_of(0), u32::MAX);
+        assert_eq!(sb.producer_poison(u32::MAX, usize::MAX), None);
+    }
+
+    #[test]
+    fn producer_slot_lookup_matches_binary_search_under_churn() {
+        // Randomized push/retire/repoison/clear churn on a wrapping ring;
+        // every active consumer's recorded producer slot must answer exactly
+        // what the binary search over trace indices answers.
+        let mut state = 0xC0FFEEu64;
+        let mut lcg = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 16
+        };
+        let mut sb = SliceBuffer::new(11);
+        let mut next_idx = 0usize;
+        let mut checked = 0usize;
+        for _ in 0..3000 {
+            match lcg() % 8 {
+                0..=3 => {
+                    let back = (lcg() % 16) as usize + 1;
+                    // Producers are always older; none for the first few.
+                    let prod = next_idx.checked_sub(back).unwrap_or(usize::MAX);
+                    let mask = PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 1);
+                    let e = consumer(&sb, next_idx, prod, mask);
+                    if sb.push(e).is_ok() {
+                        next_idx += 1;
+                    } else {
+                        let head_idx = sb.active_entries().next().unwrap().trace_idx;
+                        sb.retire(head_idx);
+                    }
+                }
+                4 => {
+                    let actives: Vec<usize> = sb.active_entries().map(|e| e.trace_idx).collect();
+                    if !actives.is_empty() {
+                        let pick = actives[(lcg() % actives.len() as u64) as usize];
+                        sb.repoison(pick, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 4));
+                    }
+                }
+                5 if lcg() % 64 == 0 => sb.clear(),
+                _ => {
+                    let actives: Vec<usize> = sb.active_entries().map(|e| e.trace_idx).collect();
+                    if !actives.is_empty() {
+                        let pick = actives[(lcg() % actives.len() as u64) as usize];
+                        sb.retire(pick);
+                    }
+                }
+            }
+            for e in sb.active_entries() {
+                assert_eq!(
+                    sb.producer_poison(e.src1_producer_slot, e.src1_producer),
+                    sb.entry_poison(e.src1_producer),
+                    "entry {} producer {}",
+                    e.trace_idx,
+                    e.src1_producer
+                );
+                checked += 1;
+            }
+        }
+        assert!(next_idx > 500 && checked > 5000, "churn too small");
     }
 
     #[test]

@@ -292,6 +292,8 @@ fn push_slice(
         // scratch, not producer pointers.
         src1_producer: usize::MAX,
         src2_producer: usize::MAX,
+        src1_producer_slot: u32::MAX,
+        src2_producer_slot: u32::MAX,
         store_color: 0,
         poison,
         active: true,

@@ -67,11 +67,17 @@ pub struct MshrStats {
 /// lifetime and its [`MshrId`] encodes `k`, so completion updates and
 /// per-miss side tables are O(1) array accesses.  Lookups by line address
 /// scan the (small, fixed) slot array, which is cache-friendly and
-/// allocation-free.
+/// allocation-free.  Retirement is checked on every access, so the file
+/// keeps a lower bound on the earliest outstanding completion and skips the
+/// scan while nothing can retire.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MshrFile {
     slots: Vec<Option<MshrEntry>>,
     outstanding: usize,
+    /// No outstanding miss completes before this cycle (`Cycle::MAX` when
+    /// none has a known completion).  Exact after every retirement scan;
+    /// a lower bound in between.
+    next_completion: Cycle,
     next_gen: u64,
     stats: MshrStats,
 }
@@ -106,6 +112,7 @@ impl MshrFile {
         MshrFile {
             slots: vec![None; capacity],
             outstanding: 0,
+            next_completion: Cycle::MAX,
             next_gen: 0,
             stats: MshrStats::default(),
         }
@@ -131,14 +138,28 @@ impl MshrFile {
         self.outstanding == 0
     }
 
-    /// Retires every entry whose miss has completed by `now`.
+    /// Retires every entry whose miss has completed by `now`.  O(1) when
+    /// no outstanding miss can have completed yet.
+    #[inline]
     pub fn retire_completed(&mut self, now: Cycle) {
+        if now >= self.next_completion {
+            self.retire_scan(now);
+        }
+    }
+
+    fn retire_scan(&mut self, now: Cycle) {
+        let mut next = Cycle::MAX;
         for s in &mut self.slots {
-            if matches!(s, Some(e) if e.completes_at <= now) {
-                *s = None;
-                self.outstanding -= 1;
+            if let Some(e) = s {
+                if e.completes_at <= now {
+                    *s = None;
+                    self.outstanding -= 1;
+                } else {
+                    next = next.min(e.completes_at);
+                }
             }
         }
+        self.next_completion = next;
     }
 
     /// Looks up an outstanding miss covering `line_addr`.
@@ -214,6 +235,7 @@ impl MshrFile {
             .filter(|e| e.id == id)
             .expect("set_completion on unknown MSHR");
         e.completes_at = completes_at;
+        self.next_completion = self.next_completion.min(completes_at);
     }
 
     /// Iterates over `(line_addr, completes_at, id)` of outstanding misses.
@@ -295,6 +317,41 @@ mod tests {
             MshrRequest::Merged { completes_at, .. } => assert_eq!(completes_at, 100),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn cached_earliest_completion_retires_exactly_like_a_full_scan() {
+        // Random allocate/complete/retire traffic with monotone time: after
+        // every retirement the outstanding set must be exactly the entries a
+        // brute-force scan of completion times keeps.
+        let mut state = 0x3A5Eu64;
+        let mut rng = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        let mut f = MshrFile::new(8);
+        let mut live: Vec<(MshrId, Cycle)> = Vec::new();
+        let mut now: Cycle = 0;
+        for _ in 0..5_000 {
+            now += rng() % 12;
+            match f.request(0x40 * (rng() % 32), now, false) {
+                MshrRequest::Allocated(id) => {
+                    let done = now + 1 + rng() % 300;
+                    f.set_completion(id, done);
+                    live.push((id, done));
+                }
+                MshrRequest::Merged { .. } | MshrRequest::Full { .. } => {}
+            }
+            f.retire_completed(now);
+            live.retain(|&(_, done)| done > now);
+            assert_eq!(f.outstanding(), live.len(), "at cycle {now}");
+            let mut ids: Vec<MshrId> = f.iter_outstanding().map(|(_, _, id)| id).collect();
+            let mut want: Vec<MshrId> = live.iter().map(|&(id, _)| id).collect();
+            ids.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(ids, want, "at cycle {now}");
+        }
+        assert!(f.stats().allocations > 500 && f.stats().full_stalls > 0);
     }
 
     #[test]

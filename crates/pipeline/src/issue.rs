@@ -1,18 +1,19 @@
 //! Issue-slot and port scheduling for the 2-way in-order pipeline.
 //!
-//! In-order issue means issue cycles are non-decreasing in program order, so
-//! only a small window of per-cycle counters needs to be retained.  The
-//! schedule enforces:
+//! In-order issue means issue cycles are non-decreasing in program order.
+//! The schedule enforces:
 //!
 //! * total issue width per cycle (2),
 //! * integer-port occupancy (2 integer ALU/multiply slots),
 //! * the shared fp/load/store/branch port (1 slot).
 //!
-//! Storage is a fixed ring of per-cycle slot counters sliding forward with
-//! the requests (every caller asks for a cycle at or after the last one
-//! granted, see [`IssueSchedule::issue`]), so allocation is O(1) per
-//! instruction — this sits on the per-instruction hot path of every core
-//! model and used to be a `BTreeMap` probe per issued instruction.
+//! Every caller asks for a cycle at or after the last one granted (the cores
+//! route all requests through a monotone issue frontier, see
+//! [`IssueSchedule::issue`]), so every cycle after the last granted one is
+//! still empty and no earlier one can be probed again.  The schedule
+//! therefore keeps the slot counters of the last granted cycle only: one
+//! compare and one increment per instruction on the per-instruction hot path
+//! of every core model.
 
 use icfp_isa::{Cycle, OpClass};
 use serde::{Deserialize, Serialize};
@@ -24,25 +25,17 @@ struct SlotUse {
     mem_fp_br: u8,
 }
 
-/// Number of per-cycle counters retained.  Only cycles at or after the last
-/// granted cycle can be probed again (issue is in order), so the window just
-/// has to cover one grant's worth of forward probing — the ring slides as the
-/// probe advances, and 64 cycles of lookbehind is far more than the zero the
-/// contract requires.
-const WINDOW: usize = 64;
-
-/// Tracks issue-slot usage per cycle and finds the earliest legal issue cycle
-/// for each instruction.
+/// Tracks issue-slot usage and finds the earliest legal issue cycle for each
+/// instruction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IssueSchedule {
     width: u8,
     int_ports: u8,
     mem_fp_br_ports: u8,
-    /// Per-cycle counters for cycles `[base, base + WINDOW)`; slot
-    /// `cycle % WINDOW`.  Cycles before `base` are frozen: in-order issue
-    /// guarantees they are never probed again.
-    ring: Vec<SlotUse>,
-    base: Cycle,
+    /// The last granted cycle (0 before the first grant).
+    cycle: Cycle,
+    /// Slots taken at `cycle`.
+    used: SlotUse,
 }
 
 impl IssueSchedule {
@@ -57,8 +50,8 @@ impl IssueSchedule {
             width: width as u8,
             int_ports: int_ports as u8,
             mem_fp_br_ports: mem_fp_br_ports as u8,
-            ring: vec![SlotUse::default(); WINDOW],
-            base: 0,
+            cycle: 0,
+            used: SlotUse::default(),
         }
     }
 
@@ -67,14 +60,10 @@ impl IssueSchedule {
         Self::new(2, 2, 1)
     }
 
+    /// True if the last granted cycle still has a slot for `class`.
     #[inline]
-    fn slot(&self, cycle: Cycle) -> &SlotUse {
-        &self.ring[(cycle % WINDOW as u64) as usize]
-    }
-
-    #[inline]
-    fn has_room(&self, cycle: Cycle, class: OpClass) -> bool {
-        let u = self.slot(cycle);
+    fn has_room(&self, class: OpClass) -> bool {
+        let u = &self.used;
         if u.total >= self.width {
             return false;
         }
@@ -85,55 +74,35 @@ impl IssueSchedule {
         }
     }
 
-    /// Slides the window forward so `cycle` is inside it, clearing the
-    /// counters of the cycles that enter the window.
-    #[inline]
-    fn cover(&mut self, cycle: Cycle) {
-        let end = self.base + WINDOW as u64;
-        if cycle < end {
-            return;
-        }
-        if cycle - end >= WINDOW as u64 {
-            // Far jump: every retained counter falls out of the window.
-            self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
-            self.base = cycle - (WINDOW as u64 - 1);
-        } else {
-            // Slide incrementally, vacating the slots that wrap around.
-            for c in end..=cycle {
-                self.ring[(c % WINDOW as u64) as usize] = SlotUse::default();
-            }
-            self.base = cycle - (WINDOW as u64 - 1);
-        }
-    }
-
     /// Reserves an issue slot for an instruction of class `class` at the
     /// earliest cycle `>= earliest` with room, and returns that cycle.
     ///
     /// In-order contract: `earliest` must be at or after the previously
     /// granted cycle (every core routes requests through a monotonic issue
-    /// frontier).  Requests below the retained window are clamped to it.
+    /// frontier).  Earlier requests are clamped to the last granted cycle.
+    #[inline]
     pub fn issue(&mut self, earliest: Cycle, class: OpClass) -> Cycle {
-        let mut cycle = earliest.max(self.base);
-        self.cover(cycle);
-        while !self.has_room(cycle, class) {
-            cycle += 1;
-            self.cover(cycle);
+        if earliest > self.cycle || !self.has_room(class) {
+            // A later cycle is empty, so it always has room (every width
+            // and port count is at least one).
+            self.cycle = earliest.max(self.cycle + 1);
+            self.used = SlotUse::default();
         }
-        let u = &mut self.ring[(cycle % WINDOW as u64) as usize];
-        u.total += 1;
+        self.used.total += 1;
         if class.uses_int_port() {
-            u.int += 1;
+            self.used.int += 1;
         } else {
-            u.mem_fp_br += 1;
+            self.used.mem_fp_br += 1;
         }
-        cycle
+        self.cycle
     }
 
-    /// Number of instructions issued at `cycle`, if it is still inside the
-    /// retained window (cycles that slid out report zero).
+    /// Number of instructions issued at `cycle` if it is the last granted
+    /// cycle; zero otherwise (later cycles are empty, earlier ones are not
+    /// retained).
     pub fn issued_at(&self, cycle: Cycle) -> usize {
-        if cycle >= self.base && cycle < self.base + WINDOW as u64 {
-            self.slot(cycle).total as usize
+        if cycle == self.cycle {
+            self.used.total as usize
         } else {
             0
         }
@@ -141,14 +110,149 @@ impl IssueSchedule {
 
     /// Resets the schedule (between runs).
     pub fn reset(&mut self) {
-        self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
-        self.base = 0;
+        self.cycle = 0;
+        self.used = SlotUse::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The previous 64-cycle ring schedule, kept as the reference the
+    /// single-cycle tracker is checked against.
+    struct RingSchedule {
+        width: u8,
+        int_ports: u8,
+        mem_fp_br_ports: u8,
+        ring: Vec<SlotUse>,
+        base: Cycle,
+    }
+
+    const WINDOW: usize = 64;
+
+    impl RingSchedule {
+        fn new(width: usize, int_ports: usize, mem_fp_br_ports: usize) -> Self {
+            RingSchedule {
+                width: width as u8,
+                int_ports: int_ports as u8,
+                mem_fp_br_ports: mem_fp_br_ports as u8,
+                ring: vec![SlotUse::default(); WINDOW],
+                base: 0,
+            }
+        }
+
+        fn slot(&self, cycle: Cycle) -> &SlotUse {
+            &self.ring[(cycle % WINDOW as u64) as usize]
+        }
+
+        fn has_room(&self, cycle: Cycle, class: OpClass) -> bool {
+            let u = self.slot(cycle);
+            if u.total >= self.width {
+                return false;
+            }
+            if class.uses_int_port() {
+                u.int < self.int_ports
+            } else {
+                u.mem_fp_br < self.mem_fp_br_ports
+            }
+        }
+
+        fn cover(&mut self, cycle: Cycle) {
+            let end = self.base + WINDOW as u64;
+            if cycle < end {
+                return;
+            }
+            if cycle - end >= WINDOW as u64 {
+                self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
+            } else {
+                for c in end..=cycle {
+                    self.ring[(c % WINDOW as u64) as usize] = SlotUse::default();
+                }
+            }
+            self.base = cycle - (WINDOW as u64 - 1);
+        }
+
+        fn issue(&mut self, earliest: Cycle, class: OpClass) -> Cycle {
+            let mut cycle = earliest.max(self.base);
+            self.cover(cycle);
+            while !self.has_room(cycle, class) {
+                cycle += 1;
+                self.cover(cycle);
+            }
+            let u = &mut self.ring[(cycle % WINDOW as u64) as usize];
+            u.total += 1;
+            if class.uses_int_port() {
+                u.int += 1;
+            } else {
+                u.mem_fp_br += 1;
+            }
+            cycle
+        }
+
+        fn issued_at(&self, cycle: Cycle) -> usize {
+            if cycle >= self.base && cycle < self.base + WINDOW as u64 {
+                self.slot(cycle).total as usize
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_matches_ring_reference_on_random_monotone_streams() {
+        // Seeded random request streams in the shape `Engine::issue_at`
+        // produces: each request is at or after the last granted cycle,
+        // mostly at it or a few cycles later, sometimes far beyond the ring
+        // window; classes mix integer and memory/fp/branch ports.
+        const CLASSES: [OpClass; 7] = [
+            OpClass::IntAlu,
+            OpClass::IntMul,
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::Branch,
+            OpClass::FpAdd,
+            OpClass::FpMul,
+        ];
+        for (seed, (width, int_ports, mem_ports)) in [(2, 2, 1), (1, 1, 1), (4, 2, 2), (3, 1, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut state = 0x1557_0000 + seed as u64;
+            let mut rng = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let mut tracker = IssueSchedule::new(width, int_ports, mem_ports);
+            let mut ring = RingSchedule::new(width, int_ports, mem_ports);
+            let mut frontier: Cycle = 0;
+            for step in 0..20_000 {
+                let earliest = frontier
+                    + match rng() % 16 {
+                        0..=9 => 0,
+                        10..=13 => rng() % 4,
+                        14 => 64 + rng() % 200,
+                        _ => 1_000 + rng() % 100_000,
+                    };
+                let class = CLASSES[(rng() % CLASSES.len() as u64) as usize];
+                let want = ring.issue(earliest, class);
+                let got = tracker.issue(earliest, class);
+                assert_eq!(
+                    got, want,
+                    "step {step}: grant for {class:?} at >= {earliest}"
+                );
+                assert_eq!(tracker.issued_at(got), ring.issued_at(got), "step {step}");
+                assert_eq!(
+                    tracker.issued_at(got + 1),
+                    ring.issued_at(got + 1),
+                    "step {step}"
+                );
+                frontier = got;
+            }
+        }
+    }
 
     #[test]
     fn two_wide_issue_packs_two_per_cycle() {

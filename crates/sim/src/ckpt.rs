@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v2` checkpoint format.
+//! The `icfp-ckpt/v3` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v2"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v3"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -27,8 +27,13 @@
 //! point's *block coordinates* — block size, resume block index and that
 //! block's content digest — so resuming against a block-based source
 //! ([`icfp_isa::TraceSource`]) validates and seeks directly to the resume
-//! block instead of re-reading the trace from the start.  v1 containers
-//! (which predate block geometry) are rejected by magic.
+//! block instead of re-reading the trace from the start.
+//!
+//! v3 changes the serialized engine: slice-buffer entries record their
+//! producers' physical slots, the issue schedule keeps only its last granted
+//! cycle, and the MSHR file records its earliest outstanding completion.  v1
+//! and v2 containers carry the old engine layout and are rejected by magic
+//! ([`CkptError::BadMagic`]) rather than misread.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -37,7 +42,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v2";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v3";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -121,7 +126,7 @@ impl fmt::Display for CkptError {
             CkptError::NotLoaded => write!(f, "no trace loaded; nothing to checkpoint"),
             CkptError::Engine(e) => write!(f, "engine snapshot: {e}"),
             CkptError::BadMagic => {
-                write!(f, "not an icfp-ckpt/v1 container (bad magic)")
+                write!(f, "not an icfp-ckpt/v3 container (bad magic)")
             }
             CkptError::Truncated => write!(f, "checkpoint container is truncated"),
             CkptError::DigestMismatch { expected, found } => write!(
@@ -152,7 +157,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v1` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v3` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -164,7 +169,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v1` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v3` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -262,6 +267,19 @@ mod tests {
         bytes[0] ^= 0xFF;
         assert_eq!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic));
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic));
+    }
+
+    #[test]
+    fn older_format_versions_are_refused_by_magic() {
+        // A container that is intact in every other respect (length, digest)
+        // but carries an earlier version's magic must not be decoded: its
+        // engine payload has the old layout.
+        let (ck, _) = checkpoint_mid_run();
+        for old in [b"icfp-ckpt/v2", b"icfp-ckpt/v1"] {
+            let mut bytes = ck.to_bytes();
+            bytes[..CKPT_MAGIC.len()].copy_from_slice(old);
+            assert_eq!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic));
+        }
     }
 
     #[test]
