@@ -25,19 +25,46 @@
 //! Every load failure — wrong magic, truncation, key or digest mismatch,
 //! undecodable payload — is a typed [`CacheError`], never a panic; the
 //! executor treats a damaged entry as a miss and recomputes.
+//!
+//! ## Column digest memo
+//!
+//! A cache key needs its column's trace digest, and a registry column's
+//! digest costs a full regeneration of the trace.  The cache therefore also
+//! keeps an in-memory memo, shared by every clone of one handle, from a
+//! registry column's identity ([`ColumnKey`]) to its digest.  The executor
+//! fills it the first time this process builds the column, so a warm
+//! resubmission forms its keys without building anything.  It holds at most
+//! [`COLUMN_MEMO_CAPACITY`] columns and is never persisted.
 
 use crate::fault::FaultPlan;
 use icfp_isa::fnv1a;
 use icfp_sim::CellFigures;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The container magic (and version): bump to invalidate every entry.
 pub const MAGIC: &[u8] = b"icfp-cache/v1";
+
+/// Most registry columns the digest memo remembers; inserting past it
+/// starts the memo over.
+pub const COLUMN_MEMO_CAPACITY: usize = 64;
+
+/// Every input a registry-built column's trace depends on: the workload
+/// name, the instruction budget, the column's seed, and whether the column
+/// streams (the digest is backing-independent; the backing is keyed anyway
+/// so the memo never has to rely on that).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ColumnKey {
+    pub(crate) workload: String,
+    pub(crate) insts: usize,
+    pub(crate) workload_seed: u64,
+    pub(crate) streams_columns: bool,
+}
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -99,14 +126,18 @@ impl From<io::Error> for CacheError {
 }
 
 /// A persistent result cache rooted at one directory; one `.cell` file per
-/// entry, named by the entry's key.  Cheap to clone conceptually (it holds
-/// only the path) and safe to share across the executor's worker threads.
+/// entry, named by the entry's key.  Cheap to clone (the path plus a shared
+/// handle on the column digest memo) and safe to share across the
+/// executor's worker threads.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
     /// Armed only by the fault-injection harness: tears the chosen entry
     /// write before it reaches disk (see [`FaultPlan::corrupt_cache_write`]).
     fault: Option<Arc<FaultPlan>>,
+    /// Registry column digests this process has computed (see the module
+    /// docs), shared by every clone of this handle.
+    column_digests: Arc<Mutex<HashMap<ColumnKey, u64>>>,
 }
 
 impl ResultCache {
@@ -118,7 +149,11 @@ impl ResultCache {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CacheError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ResultCache { dir, fault: None })
+        Ok(ResultCache {
+            dir,
+            fault: None,
+            column_digests: Arc::default(),
+        })
     }
 
     /// Arms a [`FaultPlan`] on this cache's write path — the deterministic
@@ -246,6 +281,36 @@ impl ResultCache {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// The memoized trace digest of a registry column, if this process has
+    /// built it before.
+    pub(crate) fn column_digest(&self, column: &ColumnKey) -> Option<u64> {
+        self.memo().get(column).copied()
+    }
+
+    /// Records a registry column's trace digest, starting the memo over
+    /// when a new column would exceed [`COLUMN_MEMO_CAPACITY`].
+    pub(crate) fn remember_column_digest(&self, column: ColumnKey, digest: u64) {
+        let mut memo = self.memo();
+        if memo.len() >= COLUMN_MEMO_CAPACITY && !memo.contains_key(&column) {
+            memo.clear();
+        }
+        memo.insert(column, digest);
+    }
+
+    /// Number of columns the digest memo holds.
+    #[cfg(test)]
+    pub(crate) fn memoized_columns(&self) -> usize {
+        self.memo().len()
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, HashMap<ColumnKey, u64>> {
+        // The memo is only ever read or inserted into whole, so a panic
+        // elsewhere while the lock was held cannot leave it half-updated.
+        self.column_digests
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Number of entries on disk.
@@ -398,6 +463,50 @@ mod tests {
         cache.remove(2).unwrap();
         assert!(cache.store(2, &figures()).unwrap());
         assert_eq!(cache.load(2).unwrap().unwrap(), figures());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn column(workload: &str, workload_seed: u64) -> ColumnKey {
+        ColumnKey {
+            workload: workload.to_string(),
+            insts: 600,
+            workload_seed,
+            streams_columns: false,
+        }
+    }
+
+    #[test]
+    fn column_digest_memo_is_shared_by_clones_and_bounded() {
+        let dir = tmp_dir("memo");
+        let cache = ResultCache::open(&dir).unwrap();
+        let other = cache.clone();
+        assert_eq!(cache.column_digest(&column("branchy", 1)), None);
+        cache.remember_column_digest(column("branchy", 1), 0xD16E57);
+        assert_eq!(other.column_digest(&column("branchy", 1)), Some(0xD16E57));
+        // Every field is part of the identity.
+        assert_eq!(cache.column_digest(&column("branchy", 2)), None);
+        assert_eq!(cache.column_digest(&column("streaming", 1)), None);
+        let mut streamed = column("branchy", 1);
+        streamed.streams_columns = true;
+        assert_eq!(cache.column_digest(&streamed), None);
+        let mut longer = column("branchy", 1);
+        longer.insts += 1;
+        assert_eq!(cache.column_digest(&longer), None);
+        // A fresh handle on the same directory starts with an empty memo.
+        assert_eq!(ResultCache::open(&dir).unwrap().memoized_columns(), 0);
+
+        // Re-remembering a known column never grows the memo; a new column
+        // past the capacity starts it over.
+        for seed in 2..=COLUMN_MEMO_CAPACITY as u64 {
+            other.remember_column_digest(column("branchy", seed), seed);
+        }
+        assert_eq!(cache.memoized_columns(), COLUMN_MEMO_CAPACITY);
+        cache.remember_column_digest(column("branchy", 1), 0xD16E57);
+        assert_eq!(cache.memoized_columns(), COLUMN_MEMO_CAPACITY);
+        cache.remember_column_digest(column("streaming", 1), 7);
+        assert_eq!(cache.memoized_columns(), 1);
+        assert_eq!(other.column_digest(&column("streaming", 1)), Some(7));
+        assert_eq!(other.column_digest(&column("branchy", 1)), None);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,7 @@
 //! atomic counter, with optional warm-forking and an optional persistent
 //! result cache, streaming cells to a callback as they finish.
 
-use crate::cache::ResultCache;
+use crate::cache::{ColumnKey, ResultCache};
 use crate::fault::FaultPlan;
 use crate::job::SweepJob;
 use crate::report::{SweepCell, SweepReport};
@@ -280,42 +280,52 @@ impl Tallies {
     }
 }
 
-/// Executes one group against the result cache.  On a hit every cell of the
-/// group replays the stored figures; on a miss the leader computes once
-/// (cold timing protocol), the figures are stored first-write-wins, and
+/// Looks up one group's entry.  A damaged entry is counted, evicted so the
+/// recompute's store can land, and reported as a miss.
+fn lookup(cache: &ResultCache, key: u64, tallies: &Tallies) -> Option<CellFigures> {
+    match cache.load(key) {
+        Ok(hit) => hit,
+        Err(_) => {
+            tallies.invalid.fetch_add(1, Ordering::Relaxed);
+            let _ = cache.remove(key);
+            None
+        }
+    }
+}
+
+/// Serves a whole group from one cache entry's figures.
+fn replay_group(
+    jobs: &[SweepJob],
+    group: &ForkGroup,
+    figures: &CellFigures,
+    tallies: &Tallies,
+) -> (bool, Vec<(usize, SweepCell)>) {
+    tallies
+        .hits
+        .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
+    let cells = group
+        .jobs
+        .iter()
+        .map(|&j| (j, jobs[j].cell_from_figures(figures)))
+        .collect();
+    (true, cells)
+}
+
+/// Computes a group that missed the cache: the leader runs once (cold timing
+/// protocol), the figures are stored first-write-wins under `key`, and
 /// members replay them — cells sharing a cache key have identical
 /// deterministic inputs, so replaying is exact, and sharing the leader's
 /// host figures is what makes a later fully-cached rerun reproduce this
-/// report byte-for-byte.  A damaged entry is counted and treated as a miss.
-fn run_cached_group(
+/// report byte-for-byte.
+fn compute_group(
     jobs: &[SweepJob],
     group: &ForkGroup,
     trace: &Arc<dyn TraceSource>,
+    key: u64,
     cache: &ResultCache,
     tallies: &Tallies,
 ) -> (bool, Vec<(usize, SweepCell)>) {
     let leader = &jobs[group.jobs[0]];
-    let key = leader.cache_key(trace.digest());
-    match cache.load(key) {
-        Ok(Some(figures)) => {
-            tallies
-                .hits
-                .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
-            let cells = group
-                .jobs
-                .iter()
-                .map(|&j| (j, jobs[j].cell_from_figures(&figures)))
-                .collect();
-            return (true, cells);
-        }
-        Ok(None) => {}
-        Err(_) => {
-            // Damaged entry: count it, evict it so the recompute's store can
-            // land, and fall through to the miss path.
-            tallies.invalid.fetch_add(1, Ordering::Relaxed);
-            let _ = cache.remove(key);
-        }
-    }
     let leader_cell = leader.run_with_source(&**trace);
     // Tally the miss only after the compute succeeds: a panicking attempt
     // unwinds past this point, so a retry never double-counts and the
@@ -342,6 +352,91 @@ fn run_cached_group(
         cells.push((member, jobs[member].cell_from_figures(&figures)));
     }
     (false, cells)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Registry columns built and trace digests computed by the executor on
+    /// this thread — the work a fully warm submission must not do.
+    static COLUMN_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+#[cfg(test)]
+fn count_column_work(built: usize, digested: usize) {
+    COLUMN_WORK.with(|w| {
+        let (b, d) = w.get();
+        w.set((b + built, d + digested));
+    });
+}
+
+#[cfg(not(test))]
+fn count_column_work(_built: usize, _digested: usize) {}
+
+/// `(columns built, trace digests computed)` by the executor on this thread
+/// so far.  Columns are built and registry digests computed on the calling
+/// thread only, so a test reads its own work as a difference of two calls.
+#[cfg(test)]
+pub(crate) fn column_work() -> (usize, usize) {
+    COLUMN_WORK.with(|w| w.get())
+}
+
+/// [`column_source`] for a workload the spec has already validated.
+fn build_column(spec: &SweepSpec, workload: &str) -> Arc<dyn TraceSource> {
+    count_column_work(1, 0);
+    column_source(spec, workload).expect("workload validated by SweepSpec::validate")
+}
+
+/// Resolves a cached registry run before the pool starts, on the calling
+/// thread: per group, its cache key and, on a hit, the entry's figures.
+/// A column's digest comes from the cache's memo; only a column this
+/// process has never built is built and digested to fill it.  Each group's
+/// entry is then looked up once (damaged entries are counted and evicted),
+/// and a column is built into `traces` only if one of its groups missed —
+/// a fully warm grid builds and digests nothing.
+fn probe_registry_columns<'a>(
+    spec: &'a SweepSpec,
+    jobs: &[SweepJob],
+    groups: &[ForkGroup],
+    cache: &ResultCache,
+    tallies: &Tallies,
+    traces: &mut HashMap<&'a str, Arc<dyn TraceSource>>,
+) -> Vec<(u64, Option<CellFigures>)> {
+    let mut digests: HashMap<&str, u64> = HashMap::new();
+    for w in &spec.workloads {
+        if digests.contains_key(w.as_str()) {
+            continue;
+        }
+        let column = ColumnKey {
+            workload: w.clone(),
+            insts: spec.insts,
+            workload_seed: spec.workload_seed(w),
+            streams_columns: spec.streams_columns(),
+        };
+        let digest = cache.column_digest(&column).unwrap_or_else(|| {
+            let source = build_column(spec, w);
+            count_column_work(0, 1);
+            let digest = source.digest();
+            cache.remember_column_digest(column, digest);
+            traces.insert(w.as_str(), source);
+            digest
+        });
+        digests.insert(w.as_str(), digest);
+    }
+    groups
+        .iter()
+        .map(|group| {
+            let leader = &jobs[group.jobs[0]];
+            let (&w, &digest) = digests
+                .get_key_value(leader.workload.as_str())
+                .expect("every job's workload is a spec column");
+            let key = leader.cache_key(digest);
+            let entry = lookup(cache, key, tallies);
+            if entry.is_none() && !traces.contains_key(w) {
+                traces.insert(w, build_column(spec, w));
+            }
+            (key, entry)
+        })
+        .collect()
 }
 
 /// Executes a sweep on `threads` worker threads (1 = serial, in the calling
@@ -385,8 +480,9 @@ pub fn run_sweep_streamed(
     // One trace source per workload column, shared by reference everywhere.
     // Columns come pre-built on the shard path ([`ExecOptions::columns`],
     // names exempt from registry validation there); otherwise they are
-    // built here — arenas by default, streamed sources past the budget
-    // threshold.  Cells are backing-independent either way.
+    // built here on the calling thread — arenas by default, streamed
+    // sources past the budget threshold.  Cells are backing-independent
+    // either way.
     let mut traces: HashMap<&str, Arc<dyn TraceSource>> = HashMap::new();
     if let Some(columns) = opts.columns {
         spec.validate_axes()?;
@@ -398,11 +494,6 @@ pub fn run_sweep_streamed(
         }
     } else {
         spec.validate()?;
-        for w in &spec.workloads {
-            traces.entry(w.as_str()).or_insert_with(|| {
-                column_source(spec, w).expect("workload validated by SweepSpec::validate")
-            });
-        }
     }
     let jobs = spec.expand();
     let n = jobs.len();
@@ -414,6 +505,28 @@ pub fn run_sweep_streamed(
     let workers = opts.threads.clamp(1, num_groups.max(1));
     let mut cells: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
     let tallies = Tallies::default();
+
+    // A cached registry run probes every entry up front and builds only
+    // the columns its misses need; any other registry run builds them all.
+    let probed = match (opts.columns, opts.cache) {
+        (Some(_), _) => None,
+        (None, Some(cache)) => Some(probe_registry_columns(
+            spec,
+            &jobs,
+            &groups,
+            cache,
+            &tallies,
+            &mut traces,
+        )),
+        (None, None) => {
+            for w in &spec.workloads {
+                traces
+                    .entry(w.as_str())
+                    .or_insert_with(|| build_column(spec, w));
+            }
+            None
+        }
+    };
 
     let run_group_once = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
         let group = &groups[k];
@@ -428,10 +541,23 @@ pub fn run_sweep_streamed(
             }
         }
         let leader = &jobs[group.jobs[0]];
-        let trace = &traces[leader.workload.as_str()];
+        let w = leader.workload.as_str();
         if let Some(cache) = opts.cache {
-            run_cached_group(&jobs, group, trace, cache, &tallies)
+            let (key, entry) = match &probed {
+                Some(probed) => probed[k].clone(),
+                // Shard path: the column arrived built, and each group
+                // looks up its own entry.
+                None => {
+                    let key = leader.cache_key(traces[w].digest());
+                    (key, lookup(cache, key, &tallies))
+                }
+            };
+            match entry {
+                Some(figures) => replay_group(&jobs, group, &figures, &tallies),
+                None => compute_group(&jobs, group, &traces[w], key, cache, &tallies),
+            }
         } else {
+            let trace = &traces[w];
             let batch = if spec.warm_fork {
                 run_fork_group(&jobs, group, trace)
             } else {
@@ -1006,6 +1132,226 @@ mod tests {
             outcome.cache.hits + outcome.cache.misses,
             outcome.report.cells.len() as u64
         );
+    }
+
+    fn cached(cache: &ResultCache, threads: usize) -> ExecOptions<'_> {
+        ExecOptions {
+            threads,
+            cache: Some(cache),
+            ..ExecOptions::default()
+        }
+    }
+
+    /// `(columns built, digests computed)` by `f` on this thread.
+    fn work_of<T>(f: impl FnOnce() -> T) -> (T, (usize, usize)) {
+        let (b0, d0) = column_work();
+        let out = f();
+        let (b1, d1) = column_work();
+        (out, (b1 - b0, d1 - d0))
+    }
+
+    /// The cache keys of one workload column's groups.
+    fn column_keys(spec: &SweepSpec, workload: &str) -> Vec<u64> {
+        let digest = column_source(spec, workload).unwrap().digest();
+        let jobs = spec.expand();
+        plan_groups(true, &jobs)
+            .iter()
+            .map(|g| &jobs[g.jobs[0]])
+            .filter(|leader| leader.workload == workload)
+            .map(|leader| leader.cache_key(digest))
+            .collect()
+    }
+
+    #[test]
+    fn a_fully_warm_grid_builds_no_column_and_computes_no_digest() {
+        let dir = tmp_cache("warm-no-build");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = tiny_spec();
+        let (cold, work) = work_of(|| run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}));
+        let cold = cold.unwrap();
+        assert_eq!(work, (4, 4), "each column built and digested once");
+        assert_eq!(cold.cache.misses, 32);
+        assert_eq!(cache.memoized_columns(), 4);
+
+        for threads in [1, 4] {
+            let (warm, work) =
+                work_of(|| run_sweep_streamed(&spec, &cached(&cache, threads), |_| {}));
+            let warm = warm.unwrap();
+            assert_eq!(work, (0, 0), "{threads} threads: warm run built a column");
+            assert_eq!(warm.cache.hits, 32);
+            assert_eq!(warm.cache.misses, 0);
+            assert_eq!(warm.report.cells, cold.report.cells);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_half_warm_grid_builds_only_the_column_with_a_miss() {
+        let dir = tmp_cache("half-warm");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = two_cell_spec();
+        let cold = run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}).unwrap();
+        for key in column_keys(&spec, "pointer-chase") {
+            cache.remove(key).unwrap();
+        }
+
+        let (warm, work) = work_of(|| {
+            run_sweep_streamed(&spec, &cached(&cache, 2), |e| {
+                assert_eq!(
+                    e.cached,
+                    e.cell.workload == "branchy",
+                    "{}",
+                    e.cell.workload
+                )
+            })
+        });
+        let warm = warm.unwrap();
+        assert_eq!(work, (1, 0), "pointer-chase rebuilt, its digest memoized");
+        assert_eq!(
+            (warm.cache.hits, warm.cache.misses, warm.cache.stored),
+            (1, 1, 1)
+        );
+        assert_deterministically_equal(&cold.report, &warm.report);
+
+        // A column the memo has never seen is built and digested once; the
+        // warm columns beside it still build nothing.
+        let mut wider = spec.clone();
+        wider.workloads.push("streaming".into());
+        let (wide, work) = work_of(|| run_sweep_streamed(&wider, &cached(&cache, 1), |_| {}));
+        let wide = wide.unwrap();
+        assert_eq!(work, (1, 1));
+        assert_eq!((wide.cache.hits, wide.cache.misses), (2, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_entry_in_a_warm_grid_is_counted_evicted_and_recomputed() {
+        let dir = tmp_cache("warm-damaged");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = two_cell_spec();
+        let cold = run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}).unwrap();
+        let [key] = column_keys(&spec, "branchy")[..] else {
+            panic!("one branchy group")
+        };
+        let entry = dir.join(format!("{key:016x}.cell"));
+        let bytes = fs::read(&entry).unwrap();
+        fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+
+        let (redo, work) = work_of(|| run_sweep_streamed(&spec, &cached(&cache, 2), |_| {}));
+        let redo = redo.unwrap();
+        assert_eq!(work, (1, 0), "only the damaged entry's column is built");
+        assert_eq!(redo.cache.invalid, 1, "damage is counted");
+        assert_eq!((redo.cache.hits, redo.cache.misses), (1, 1));
+        assert_eq!(redo.cache.stored, 1, "the evicted entry is re-stored");
+        assert_eq!(redo.report.digest(), cold.report.digest());
+        assert_deterministically_equal(&cold.report, &redo.report);
+
+        let (third, work) = work_of(|| run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}));
+        let third = third.unwrap();
+        assert_eq!(work, (0, 0));
+        assert_eq!((third.cache.hits, third.cache.invalid), (2, 0));
+        assert_eq!(third.report.cells, redo.report.cells);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_injected_panic_on_a_warm_grid_still_yields_typed_failed_cells() {
+        let dir = tmp_cache("warm-panic");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = two_cell_spec();
+        let cold = run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}).unwrap();
+
+        // Absorbed by the retry budget: the replay is the cold report.
+        let plan = FaultPlan::new().with_panic_job(PanicJob {
+            job_index: 1,
+            attempts: 2,
+        });
+        let opts = ExecOptions {
+            fault: Some(&plan),
+            ..cached(&cache, 1)
+        };
+        let retried = run_sweep_streamed(&spec, &opts, |_| {}).unwrap();
+        assert_eq!(plan.panics_raised(), 2);
+        assert_eq!(retried.report, cold.report);
+        assert_eq!((retried.cache.hits, retried.cache.misses), (2, 0));
+
+        // Exhausted: a typed failed cell beside an intact cached one.
+        let plan = FaultPlan::new().with_panic_job(PanicJob {
+            job_index: 0,
+            attempts: u32::MAX,
+        });
+        let opts = ExecOptions {
+            panic_retries: 1,
+            fault: Some(&plan),
+            ..cached(&cache, 2)
+        };
+        let (outcome, work) = work_of(|| run_sweep_streamed(&spec, &opts, |_| {}));
+        let outcome = outcome.unwrap();
+        assert_eq!(work, (0, 0));
+        let [failed, ok] = &outcome.report.cells[..] else {
+            panic!("two cells")
+        };
+        let reason = failed.failed.as_deref().expect("job 0 exhausted retries");
+        assert!(reason.contains("injected fault"), "{reason:?}");
+        assert_eq!((failed.cycles, failed.state_digest), (0, 0));
+        assert_eq!(ok, &cold.report.cells[1]);
+        assert_eq!((outcome.cache.hits, outcome.cache.misses), (1, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_digest_memo_outlives_a_submission_and_the_shard_path_never_uses_it() {
+        let dir = tmp_cache("memo");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = two_cell_spec();
+        let cold = run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}).unwrap();
+        // A clone shares the memo, as every connection of one server does.
+        let server_side = cache.clone();
+        let (warm, work) = work_of(|| run_sweep_streamed(&spec, &cached(&server_side, 1), |_| {}));
+        assert_eq!(work, (0, 0));
+        assert_eq!(warm.unwrap().report, cold.report);
+
+        // The shard path keys by its supplied columns' own digests: a
+        // poisoned memo changes nothing there, and nothing is written to it.
+        let columns: HashMap<String, Arc<dyn TraceSource>> = spec
+            .workloads
+            .iter()
+            .map(|w| (w.clone(), column_source(&spec, w).unwrap()))
+            .collect();
+        for w in &spec.workloads {
+            let column = ColumnKey {
+                workload: w.clone(),
+                insts: spec.insts,
+                workload_seed: spec.workload_seed(w),
+                streams_columns: spec.streams_columns(),
+            };
+            cache.remember_column_digest(column, 0xBAD);
+        }
+        let shard = ExecOptions {
+            columns: Some(&columns),
+            ..cached(&cache, 2)
+        };
+        let (sharded, work) = work_of(|| run_sweep_streamed(&spec, &shard, |_| {}));
+        let sharded = sharded.unwrap();
+        assert_eq!(work, (0, 0));
+        assert_eq!(sharded.cache.hits, 2, "true digests, true keys");
+        assert_eq!(sharded.report.cells, cold.report.cells);
+        // The registry path does read the memo: poisoned keys miss.
+        let poisoned = run_sweep_streamed(&spec, &cached(&cache, 1), |_| {}).unwrap();
+        assert_eq!(poisoned.cache.hits, 0);
+
+        // On a fresh cache the shard path leaves the memo empty.
+        let fresh_dir = tmp_cache("memo-fresh");
+        let fresh = ResultCache::open(&fresh_dir).unwrap();
+        let shard = ExecOptions {
+            columns: Some(&columns),
+            ..cached(&fresh, 1)
+        };
+        let first = run_sweep_streamed(&spec, &shard, |_| {}).unwrap();
+        assert_eq!(first.cache.misses, 2);
+        assert_eq!(fresh.memoized_columns(), 0);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&fresh_dir);
     }
 
     #[test]

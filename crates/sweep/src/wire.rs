@@ -441,16 +441,28 @@ pub fn submit_with(
     Err(last.expect("loop ran at least once"))
 }
 
+/// Sets up one end of a wire conversation, client or server: the read and
+/// write deadline, and `TCP_NODELAY`.  Every message is written and flushed
+/// as one whole frame, so Nagle's algorithm can only hurt: it holds a small
+/// frame (a streamed `Cell`) back until the peer's delayed ACK, ~40 ms a
+/// time on loopback.
+fn framed(
+    stream: TcpStream,
+    io_timeout: Option<Duration>,
+) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), WireError> {
+    stream.set_nodelay(true).map_err(WireError::Io)?;
+    stream.set_read_timeout(io_timeout).map_err(WireError::Io)?;
+    stream.set_write_timeout(io_timeout).map_err(WireError::Io)?;
+    let reader = BufReader::new(stream.try_clone().map_err(WireError::Io)?);
+    Ok((reader, BufWriter::new(stream)))
+}
+
 /// Opens a framed connection to `addr` under the given I/O deadline.
 fn connect_framed(
     addr: &str,
     io_timeout: Option<Duration>,
 ) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), WireError> {
-    let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
-    stream.set_read_timeout(io_timeout).map_err(WireError::Io)?;
-    stream.set_write_timeout(io_timeout).map_err(WireError::Io)?;
-    let reader = BufReader::new(stream.try_clone().map_err(WireError::Io)?);
-    Ok((reader, BufWriter::new(stream)))
+    framed(TcpStream::connect(addr).map_err(WireError::Io)?, io_timeout)
 }
 
 /// Performs the client side of the v2 handshake, returning the capability
@@ -857,15 +869,8 @@ fn resolve_shard_columns(
 /// Any [`WireError`]; the caller (the `icfp-sweepd` accept loop) logs it
 /// and moves on to the next connection.
 pub fn handle_conn(stream: TcpStream, opts: &ServeOptions) -> Result<ConnSummary, WireError> {
-    stream
-        .set_read_timeout(opts.io_timeout)
-        .map_err(WireError::Io)?;
-    stream
-        .set_write_timeout(opts.io_timeout)
-        .map_err(WireError::Io)?;
+    let (mut reader, mut writer) = framed(stream, opts.io_timeout)?;
     let fault = opts.fault.as_deref();
-    let mut reader = BufReader::new(stream.try_clone().map_err(WireError::Io)?);
-    let mut writer = BufWriter::new(stream);
     let mut summary = ConnSummary::default();
 
     // Handshake.  An undecodable first frame still gets an Error reply.
@@ -1132,9 +1137,10 @@ pub struct ServeSummary {
 /// The concurrent accept loop: thread-per-connection over one shared
 /// executor and result cache, bounded by [`AcceptOptions::max_inflight`].
 ///
-/// Each accepted stream gets [`ServeOptions::io_timeout`] deadlines and its
-/// own [`handle_conn`] thread; the loop itself never blocks on a
-/// conversation, so a quick cache-hit submission runs beside a cold sweep.
+/// Each accepted stream gets its own [`handle_conn`] thread, which sets
+/// [`ServeOptions::io_timeout`] deadlines and `TCP_NODELAY` on it; the loop
+/// itself never blocks on a conversation, so a quick cache-hit submission
+/// runs beside a cold sweep.
 /// The loop exits when [`AcceptOptions::max_submissions`] submissions have
 /// been served or [`AcceptOptions::shutdown`] goes true, then *drains*:
 /// every in-flight connection finishes (in-flight cells complete and land
@@ -1388,6 +1394,47 @@ mod tests {
         assert_eq!(local.report, second.report);
         assert_eq!(local.report.to_json(), second.report.to_json());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_ends_of_a_wire_stream_disable_nagle_and_carry_deadlines() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let deadline = Some(Duration::from_secs(7));
+        let (probe_tx, probe_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            // A clone shares the socket, so it observes what handle_conn
+            // sets on its own handle.
+            probe_tx
+                .send(stream.try_clone().expect("clone"))
+                .expect("send probe");
+            let opts = ServeOptions {
+                io_timeout: deadline,
+                ..ServeOptions::default()
+            };
+            handle_conn(stream, &opts).map_err(|e| e.to_string())
+        });
+        let assert_set_up = |end: &str, s: &TcpStream| {
+            assert!(s.nodelay().expect("nodelay"), "{end}: TCP_NODELAY unset");
+            assert_eq!(s.read_timeout().expect("read deadline"), deadline, "{end}");
+            assert_eq!(
+                s.write_timeout().expect("write deadline"),
+                deadline,
+                "{end}"
+            );
+        };
+
+        let (mut reader, mut writer) = connect_framed(&addr, deadline).expect("connect");
+        assert_set_up("client reader", reader.get_ref());
+        assert_set_up("client writer", writer.get_ref());
+        // The server answers the handshake only after setting its end up.
+        client_handshake(&mut reader, &mut writer).expect("handshake");
+        assert_set_up("server", &probe_rx.recv().expect("probe"));
+
+        drop((reader, writer));
+        let summary = server.join().expect("server thread").expect("clean close");
+        assert_eq!(summary.submits, 0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
 //! Facade crate re-exporting the iCFP reproduction workspace.
-pub use icfp_area as area;
 pub use icfp_bpred as bpred;
 pub use icfp_core as core;
 pub use icfp_isa as isa;
