@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod advance_memo;
 pub mod common;
 pub mod config;
 pub mod engine;

@@ -34,7 +34,7 @@ impl Core for MultipassCore {
     }
 
     fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        runahead_like_run(&self.cfg, trace, self.name(), true, warm)
+        runahead_like_run(&self.cfg, trace, self.name(), true, warm, true)
     }
 }
 

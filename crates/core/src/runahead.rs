@@ -11,6 +11,7 @@
 //! restarts at the checkpointed instruction.  That wholesale re-execution is
 //! the overhead iCFP and SLTP avoid.
 
+use crate::advance_memo::{AdvanceMemo, SEGMENT};
 use crate::common::{seed_start, Engine};
 use crate::config::CoreConfig;
 use crate::fxmap::FxHashMap;
@@ -41,7 +42,7 @@ impl Core for RunaheadCore {
     }
 
     fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        runahead_like_run(&self.cfg, trace, self.name(), false, warm)
+        runahead_like_run(&self.cfg, trace, self.name(), false, warm, true)
     }
 }
 
@@ -57,12 +58,17 @@ struct AdvanceEpisode {
 /// of miss-independent advance instructions are kept in a bounded result
 /// buffer and used to accelerate the post-squash re-execution (Multipass's
 /// dependence-breaking), otherwise they are discarded (plain Runahead).
+///
+/// With `replay`, inert advance segments seen before are replayed from an
+/// [`AdvanceMemo`] instead of simulated; the result is identical.  The cores
+/// always pass `true`; the plain loop (`false`) is the tests' reference.
 pub(crate) fn runahead_like_run(
     cfg: &CoreConfig,
     trace: &TraceCursor<'_>,
     name: &'static str,
     save_results: bool,
     warm: Option<&ArchState>,
+    replay: bool,
 ) -> RunResult {
     let mut eng = Engine::new(cfg);
     let start = seed_start(&mut eng, warm, trace.len());
@@ -77,6 +83,10 @@ pub(crate) fn runahead_like_run(
     // re-executed instruction, so it uses the fast non-cryptographic hasher
     // (keys are trace positions, not outside input).
     let mut results: FxHashMap<usize, Option<u64>> = FxHashMap::default();
+    // One past the largest index ever saved: at or above it every probe of
+    // the result buffer misses, so none is made.
+    let mut saved_end = 0usize;
+    let mut memo = replay.then(AdvanceMemo::default);
     let mut episode: Option<AdvanceEpisode> = None;
     // Set once any store has been processed in the current advance episode;
     // results are no longer saved after that because advance loads may then
@@ -91,10 +101,27 @@ pub(crate) fn runahead_like_run(
         // return (or the trace ran out while advancing): restore and
         // re-execute from the checkpoint.
         if let Some(ep) = episode {
+            if let Some(m) = memo.as_mut() {
+                m.after_step(&eng);
+            }
             if eng.frontier >= ep.trigger_return || i >= len {
+                if let Some(m) = memo.as_mut() {
+                    m.abandon();
+                }
                 finish_episode(&mut eng, &mut rcache, ep, &mut i, &mut poisoned_store_seen);
                 episode = None;
                 continue;
+            }
+            if let Some(m) = memo.as_mut().filter(|_| i.is_multiple_of(SEGMENT)) {
+                // Multipass: inert instructions leave a full buffer holding
+                // nothing at or after `i` unchanged, so replay is exact.
+                let open =
+                    !save_results || (results.len() >= cfg.result_buffer_entries && saved_end <= i);
+                let n = m.at_boundary(&mut eng, i, ep.trigger_return, len, open);
+                if n > 0 {
+                    i += n;
+                    continue;
+                }
             }
         }
         if i >= len {
@@ -107,13 +134,17 @@ pub(crate) fn runahead_like_run(
         let in_advance = episode.is_some();
         let fetch_ready = eng.fetch.next_issue_ready();
         let src_poison = if in_advance {
-            eng.src_poison(inst)
+            let p = eng.src_poison(inst);
+            if let Some(m) = memo.as_mut() {
+                m.admit(inst, p);
+            }
+            p
         } else {
             PoisonMask::CLEAN
         };
 
         // Multipass: a saved result breaks the dependence during re-execution.
-        let saved = if save_results && !in_advance {
+        let saved = if save_results && !in_advance && i < saved_end {
             results.get(&i).copied()
         } else {
             None
@@ -151,7 +182,7 @@ pub(crate) fn runahead_like_run(
                     rcache.write(addr, 0, src_poison);
                 }
             }
-            if save_results {
+            if save_results && i < saved_end {
                 results.remove(&i);
             }
             eng.note_completion(issue + 1);
@@ -214,6 +245,9 @@ pub(crate) fn runahead_like_run(
                         // Enter advance mode: checkpoint here, poison the dest.
                         eng.rf.checkpoint(issue, seq);
                         eng.stats.advance_episodes += 1;
+                        if let Some(m) = memo.as_mut() {
+                            m.evict_through(i);
+                        }
                         episode = Some(AdvanceEpisode {
                             ckpt_idx: i,
                             trigger_return: completes,
@@ -253,6 +287,7 @@ pub(crate) fn runahead_like_run(
                         eng.note_completion(completes);
                         if save_results && !poisoned_store_seen && results.len() < cfg.result_buffer_entries {
                             results.insert(i, Some(value));
+                            saved_end = saved_end.max(i + 1);
                         }
                     }
                 }
@@ -292,6 +327,7 @@ pub(crate) fn runahead_like_run(
                     && results.len() < cfg.result_buffer_entries
                 {
                     results.insert(i, value);
+                    saved_end = saved_end.max(i + 1);
                 }
                 eng.note_completion(completes);
             }

@@ -86,6 +86,21 @@ impl FetchEngine {
         }
     }
 
+    /// The current fetch cycle and the fetch slots already used in it.
+    pub fn position(&self) -> (Cycle, usize) {
+        (self.current_cycle, self.used)
+    }
+
+    /// Moves the front end to a state obtained from
+    /// [`FetchEngine::position`] as if `fetched` instructions had been
+    /// fetched through [`FetchEngine::next_issue_ready`] with no redirect in
+    /// between (replay of a memoised instruction sequence).
+    pub fn replay_to(&mut self, cycle: Cycle, used: usize, fetched: u64) {
+        self.current_cycle = cycle;
+        self.used = used;
+        self.stats.fetched += fetched;
+    }
+
     /// Stalls the front end so that no instruction issues before `cycle`
     /// (used when a mode transition freezes fetch without a mis-prediction).
     pub fn stall_until(&mut self, cycle: Cycle) {

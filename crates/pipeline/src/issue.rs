@@ -18,8 +18,12 @@
 use icfp_isa::{Cycle, OpClass};
 use serde::{Deserialize, Serialize};
 
+/// Slots taken in one cycle, by port class.  Opaque outside this module:
+/// [`IssueSchedule::last_grant`] hands it out and
+/// [`IssueSchedule::resume_at`] takes it back, so a caller can save and
+/// re-apply the schedule's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct SlotUse {
+pub struct SlotUse {
     total: u8,
     int: u8,
     mem_fp_br: u8,
@@ -106,6 +110,19 @@ impl IssueSchedule {
         } else {
             0
         }
+    }
+
+    /// The last granted cycle and the slots taken in it: the schedule's whole
+    /// mutable state.
+    pub fn last_grant(&self) -> (Cycle, SlotUse) {
+        (self.cycle, self.used)
+    }
+
+    /// Sets the schedule to a state obtained from [`IssueSchedule::last_grant`]
+    /// (replay of a memoised instruction sequence).
+    pub fn resume_at(&mut self, cycle: Cycle, used: SlotUse) {
+        self.cycle = cycle;
+        self.used = used;
     }
 
     /// Resets the schedule (between runs).

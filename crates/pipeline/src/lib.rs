@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use config::PipelineConfig;
 pub use frontend::FetchEngine;
-pub use issue::IssueSchedule;
+pub use issue::{IssueSchedule, SlotUse};
 pub use poison::{lane_range_mask, PoisonAllocator, PoisonMask, PoisonVec, POISON_LANES_PER_WORD};
 pub use regfile::{Checkpoint, RegEntry, TimedRegFile};
 pub use stats::{RunResult, RunStats};

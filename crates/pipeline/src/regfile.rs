@@ -99,6 +99,11 @@ impl TimedRegFile {
         }
     }
 
+    /// Every register's entry, indexed by [`Reg::index`].
+    pub fn entries(&self) -> &[RegEntry] {
+        &self.regs
+    }
+
     /// Read access to a register entry.
     pub fn entry(&self, r: Reg) -> &RegEntry {
         &self.regs[r.index()]
@@ -235,6 +240,18 @@ impl TimedRegFile {
             };
         }
         self.poison.clear_all();
+    }
+
+    /// Sets a register's timing state — poison, readiness and last writer —
+    /// and leaves its value alone.  A poisoned register gets `ready_at` 0,
+    /// as [`TimedRegFile::poison_write`] leaves it.  Used to replay a
+    /// memoised instruction sequence whose values are later discarded by
+    /// [`TimedRegFile::restore`].
+    pub fn replay_write(&mut self, r: Reg, mask: PoisonMask, ready_at: Cycle, seq: InstSeq) {
+        let e = &mut self.regs[r.index()];
+        e.last_writer = Some(seq);
+        e.ready_at = if mask.is_poisoned() { 0 } else { ready_at };
+        self.poison.set(r.index(), mask);
     }
 
     /// Discards the checkpoint without restoring (successful completion of an
